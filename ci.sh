@@ -76,21 +76,21 @@ done
 
 echo "==> shootout: regenerate and gate against the checked-in baseline"
 BENCH_JSON_DIR="$shootout_tmp" cargo bench -q -p slider-bench --bench shootout > /dev/null
-cargo run -q --release -p slider-bench --example shootout_viewer -- \
+cargo run -q --release -p slider-bench --example bench_gate -- \
   --check BENCH_shootout.json "$shootout_tmp/BENCH_shootout.json"
-cargo run -q --release -p slider-bench --example shootout_viewer -- \
+cargo run -q --release -p slider-bench --example bench_gate -- \
   BENCH_shootout.json > "$shootout_tmp/view_a.txt"
-SLIDER_THREADS=1 cargo run -q --release -p slider-bench --example shootout_viewer -- \
+SLIDER_THREADS=1 cargo run -q --release -p slider-bench --example bench_gate -- \
   BENCH_shootout.json > "$shootout_tmp/view_b.txt"
 cmp "$shootout_tmp/view_a.txt" "$shootout_tmp/view_b.txt"
 
 echo "==> join bench: regenerate and gate against the checked-in baseline"
 BENCH_JSON_DIR="$shootout_tmp" cargo bench -q -p slider-bench --bench join > /dev/null
-cargo run -q --release -p slider-bench --example join_viewer -- \
+cargo run -q --release -p slider-bench --example bench_gate -- \
   --check BENCH_join.json "$shootout_tmp/BENCH_join.json"
-cargo run -q --release -p slider-bench --example join_viewer -- \
+cargo run -q --release -p slider-bench --example bench_gate -- \
   BENCH_join.json > "$shootout_tmp/join_a.txt"
-SLIDER_THREADS=1 cargo run -q --release -p slider-bench --example join_viewer -- \
+SLIDER_THREADS=1 cargo run -q --release -p slider-bench --example bench_gate -- \
   BENCH_join.json > "$shootout_tmp/join_b.txt"
 cmp "$shootout_tmp/join_a.txt" "$shootout_tmp/join_b.txt"
 

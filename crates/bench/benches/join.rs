@@ -3,7 +3,7 @@
 //!
 //! Run with `cargo bench -p slider-bench --bench join`; set
 //! `BENCH_JSON_DIR` to also write `BENCH_join.json` (the file CI diffs
-//! against the checked-in baseline via `join_viewer --check`).
+//! against the checked-in baseline via `bench_gate --check`).
 
 use slider_bench::{
     approx_table, banner, join_report, join_table, run_approx_rows, run_join_bench,

@@ -4,7 +4,7 @@
 //!
 //! Run with `cargo bench -p slider-bench --bench shootout`; set
 //! `BENCH_JSON_DIR` to also write `BENCH_shootout.json` (the file CI
-//! diffs against the checked-in baseline via `shootout_viewer --check`).
+//! diffs against the checked-in baseline via `bench_gate --check`).
 
 use slider_bench::{banner, run_shootout, shootout_report, shootout_table};
 

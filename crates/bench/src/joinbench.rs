@@ -13,7 +13,7 @@
 //! All numbers are integer work accounting folded deterministically, so
 //! `BENCH_join.json` is byte-identical across reruns and thread counts
 //! and a checked-in baseline gates regressions in CI
-//! (`join_viewer --check`).
+//! (`bench_gate --check`).
 
 use slider_apps::FollowPostJoin;
 use slider_core::KeyedDistinctCounter;

@@ -153,7 +153,7 @@ pub fn shootout_report(points: &[ShootoutPoint]) -> BenchJson {
 }
 
 /// Renders the per-structure cost table the bench target and the
-/// `shootout_viewer` example print.
+/// `bench_gate` example print.
 pub fn shootout_table(points: &[ShootoutPoint]) -> Table {
     let mut table = Table::new(&[
         "structure",

@@ -127,6 +127,18 @@ impl SimReport {
     }
 }
 
+impl slider_trace::Visit for SimReport {
+    /// Every counter; the `f64` seconds and the per-stage breakdown (the
+    /// `cluster` track's stage spans) are not counters.
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        f("tasks_run", self.tasks_run as u64);
+        f("migrations", self.migrations);
+        f("retried_tasks", self.retried_tasks);
+        f("speculative_tasks", self.speculative_tasks);
+        f("repair_network_bytes", self.repair_network_bytes);
+    }
+}
+
 #[derive(Debug, Clone, Copy)]
 struct Event {
     time: f64,
@@ -265,10 +277,6 @@ pub fn simulate_traced(
             t.arg(s, "remote_placements", stage.remote_placements);
         }
         t.end(parent);
-        t.add("cluster.tasks_run", report.tasks_run as u64);
-        t.add("cluster.retried_tasks", report.retried_tasks);
-        t.add("cluster.speculative_tasks", report.speculative_tasks);
-        t.add("cluster.migrations", report.migrations);
     });
     report
 }

@@ -4,7 +4,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::error::Error;
 use std::fmt;
 
-use slider_trace::{SpanKind, TraceSink};
+use slider_trace::{SpanKind, TraceSink, Visit};
 
 use crate::gc::GcPolicy;
 use crate::repair::RepairStats;
@@ -220,6 +220,34 @@ impl CacheStats {
     pub fn failed_reads(&self) -> u64 {
         self.not_found_reads + self.unavailable_reads
     }
+
+    /// Field-wise `self - before`, for per-run metering of the cache's
+    /// cumulative counters.
+    pub fn delta_since(&self, before: &CacheStats) -> CacheStats {
+        CacheStats {
+            memory_hits: self.memory_hits - before.memory_hits,
+            disk_reads: self.disk_reads - before.disk_reads,
+            not_found_reads: self.not_found_reads - before.not_found_reads,
+            unavailable_reads: self.unavailable_reads - before.unavailable_reads,
+            read_seconds: self.read_seconds - before.read_seconds,
+            bytes_read: self.bytes_read - before.bytes_read,
+            collected: self.collected - before.collected,
+            evictions: self.evictions - before.evictions,
+        }
+    }
+}
+
+impl Visit for CacheStats {
+    /// Every counter except `read_seconds` (simulated seconds).
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        f("memory_hits", self.memory_hits);
+        f("disk_reads", self.disk_reads);
+        f("not_found_reads", self.not_found_reads);
+        f("unavailable_reads", self.unavailable_reads);
+        f("bytes_read", self.bytes_read);
+        f("collected", self.collected);
+        f("evictions", self.evictions);
+    }
 }
 
 /// Per-namespace accounting: what one tenant's objects are doing to the
@@ -241,6 +269,17 @@ pub struct NamespaceStats {
     pub live_objects: u64,
     /// Bytes currently indexed under this namespace.
     pub live_bytes: u64,
+}
+
+impl Visit for NamespaceStats {
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        f("puts", self.puts);
+        f("put_bytes", self.put_bytes);
+        f("evictions", self.evictions);
+        f("collected", self.collected);
+        f("live_objects", self.live_objects);
+        f("live_bytes", self.live_bytes);
+    }
 }
 
 /// Checksum of an object's content, modeled as FNV-1a over the identity
@@ -315,7 +354,8 @@ pub struct DistributedCache {
     repair_queue: BTreeSet<ObjectId>,
     /// Observability sink; disabled by default (see
     /// [`DistributedCache::attach_trace`]). Every span it records mirrors a
-    /// [`CacheStats`]/[`RepairStats`] accumulation with identical operands.
+    /// [`CacheStats`]/[`RepairStats`] accumulation with identical operands;
+    /// counters come from the stats themselves, folded per run by the job.
     trace: TraceSink,
 }
 
@@ -374,7 +414,6 @@ impl DistributedCache {
     fn enqueue_repair(&mut self, object: ObjectId) {
         if self.config.repair && self.repair_queue.insert(object) {
             self.repair.enqueued += 1;
-            self.trace.with(|t| t.add("dcache.repair.enqueued", 1));
         }
     }
 
@@ -471,8 +510,6 @@ impl DistributedCache {
             let s = t.leaf_seconds(tr, SpanKind::CacheWrite, format!("put {}", object.0), 0.0);
             t.arg(s, "bytes", bytes);
             t.arg(s, "live_copies", live_copies as u64);
-            t.add("dcache.puts", 1);
-            t.add("dcache.put_bytes", bytes);
         });
         if live_copies < self.want_replicas() {
             self.enqueue_repair(object);
@@ -502,7 +539,6 @@ impl DistributedCache {
                 self.trace.with(|t| {
                     let tr = t.track(TRACE_TRACK);
                     t.leaf_seconds(tr, SpanKind::CacheRead, format!("miss {}", object.0), 0.0);
-                    t.add("dcache.not_found_reads", 1);
                 });
                 return Err(CacheError::NotFound(object));
             }
@@ -524,26 +560,7 @@ impl DistributedCache {
                         lat.per_op_seconds + meta.bytes as f64 / lat.network_bytes_per_second,
                     )
                 };
-                self.stats.memory_hits += 1;
-                self.stats.read_seconds += seconds;
-                self.stats.bytes_read += meta.bytes;
-                self.trace.with(|t| {
-                    let tr = t.track(TRACE_TRACK);
-                    let s = t.leaf_seconds(
-                        tr,
-                        SpanKind::CacheRead,
-                        format!("read {}", object.0),
-                        seconds,
-                    );
-                    t.arg(s, "bytes", meta.bytes);
-                    t.add("dcache.memory_hits", 1);
-                    t.add("dcache.bytes_read", meta.bytes);
-                });
-                return Ok(ReadOutcome {
-                    seconds,
-                    source,
-                    bytes: meta.bytes,
-                });
+                return Ok(self.served(object, meta.bytes, source, seconds));
             }
         }
 
@@ -567,7 +584,6 @@ impl DistributedCache {
             // before anyone can read it and schedule re-replication.
             self.nodes[candidate.0].disk.remove(&object);
             self.repair.corruptions_detected += 1;
-            self.trace.with(|t| t.add("dcache.corruptions_detected", 1));
             self.enqueue_repair(object);
         }
         let Some(replica) = replica else {
@@ -580,7 +596,6 @@ impl DistributedCache {
                     format!("unavailable {}", object.0),
                     0.0,
                 );
-                t.add("dcache.unavailable_reads", 1);
             });
             self.enqueue_repair(object);
             return Err(CacheError::Unavailable(object));
@@ -603,9 +618,25 @@ impl DistributedCache {
         if self.config.memory_enabled && self.nodes[meta.home.0].alive {
             self.nodes[meta.home.0].memory.put(object.0, meta.bytes);
         }
-        self.stats.disk_reads += 1;
+        Ok(self.served(object, meta.bytes, source, seconds))
+    }
+
+    /// Books a served read — its tier's hit counter, seconds, bytes and
+    /// span — and returns its outcome.
+    fn served(
+        &mut self,
+        object: ObjectId,
+        bytes: u64,
+        source: ReadSource,
+        seconds: f64,
+    ) -> ReadOutcome {
+        if matches!(source, ReadSource::Memory | ReadSource::RemoteMemory) {
+            self.stats.memory_hits += 1;
+        } else {
+            self.stats.disk_reads += 1;
+        }
         self.stats.read_seconds += seconds;
-        self.stats.bytes_read += meta.bytes;
+        self.stats.bytes_read += bytes;
         self.trace.with(|t| {
             let tr = t.track(TRACE_TRACK);
             let s = t.leaf_seconds(
@@ -614,15 +645,13 @@ impl DistributedCache {
                 format!("read {}", object.0),
                 seconds,
             );
-            t.arg(s, "bytes", meta.bytes);
-            t.add("dcache.disk_reads", 1);
-            t.add("dcache.bytes_read", meta.bytes);
+            t.arg(s, "bytes", bytes);
         });
-        Ok(ReadOutcome {
+        ReadOutcome {
             seconds,
             source,
-            bytes: meta.bytes,
-        })
+            bytes,
+        }
     }
 
     /// Deletes `object` everywhere reachable. Copies on failed nodes
@@ -716,13 +745,31 @@ impl DistributedCache {
     /// freeing memoized objects that fell out of the window (§6). Returns
     /// the number of collected objects.
     pub fn collect_garbage(&mut self, current_epoch: u64) -> u64 {
+        self.collect(None, current_epoch)
+    }
+
+    /// Runs garbage collection for a single namespace: like
+    /// [`DistributedCache::collect_garbage`], but only `namespace`'s
+    /// objects are candidates, and an [`GcPolicy::Aggressive`] byte budget
+    /// is applied to that namespace's footprint alone. Tenants sharing one
+    /// cache advance through epochs independently, so each must sweep only
+    /// its own window — a global sweep at one tenant's epoch would reap
+    /// another tenant's still-live objects.
+    pub fn collect_garbage_scoped(&mut self, namespace: u32, current_epoch: u64) -> u64 {
+        self.collect(Some(namespace), current_epoch)
+    }
+
+    /// Garbage collection over the objects of `scope` (every namespace when
+    /// `None`).
+    fn collect(&mut self, scope: Option<u32>, current_epoch: u64) -> u64 {
+        let in_scope = |id: &ObjectId| scope.is_none_or(|ns| id.namespace() == ns);
         let victims: Vec<ObjectId> = match self.config.gc {
             GcPolicy::Disabled => Vec::new(),
             GcPolicy::WindowBased { horizon } => {
                 let mut victims: Vec<ObjectId> = self
                     .index
                     .iter()
-                    .filter(|(_, m)| m.epoch + horizon < current_epoch)
+                    .filter(|(id, m)| in_scope(id) && m.epoch + horizon < current_epoch)
                     .map(|(id, _)| *id)
                     .collect();
                 // Sorted so the deletion sequence (not just the final
@@ -734,12 +781,13 @@ impl DistributedCache {
                 // Evict oldest epochs first until under budget, with the
                 // explicit (epoch, id) order of `aggressive_victims` — the
                 // index map's iteration order must not pick the survivors.
-                let total: u64 = self.index.values().map(|m| m.bytes).sum();
                 let entries: Vec<(u64, ObjectId, u64)> = self
                     .index
                     .iter()
+                    .filter(|(id, _)| in_scope(id))
                     .map(|(id, m)| (m.epoch, *id, m.bytes))
                     .collect();
+                let total: u64 = entries.iter().map(|(_, _, b)| b).sum();
                 crate::gc::aggressive_victims(entries, total, max_total_bytes)
             }
         };
@@ -754,62 +802,12 @@ impl DistributedCache {
         self.stats.collected += n;
         self.trace.with(|t| {
             let tr = t.track(TRACE_TRACK);
-            let s = t.leaf_seconds(tr, SpanKind::Gc, format!("gc epoch {current_epoch}"), 0.0);
+            let name = match scope {
+                None => format!("gc epoch {current_epoch}"),
+                Some(ns) => format!("gc ns {ns} epoch {current_epoch}"),
+            };
+            let s = t.leaf_seconds(tr, SpanKind::Gc, name, 0.0);
             t.arg(s, "collected", n);
-            t.add("dcache.collected", n);
-        });
-        n
-    }
-
-    /// Runs garbage collection for a single namespace: like
-    /// [`DistributedCache::collect_garbage`], but only `namespace`'s
-    /// objects are candidates, and an [`GcPolicy::Aggressive`] byte budget
-    /// is applied to that namespace's footprint alone. Tenants sharing one
-    /// cache advance through epochs independently, so each must sweep only
-    /// its own window — a global sweep at one tenant's epoch would reap
-    /// another tenant's still-live objects.
-    pub fn collect_garbage_scoped(&mut self, namespace: u32, current_epoch: u64) -> u64 {
-        let victims: Vec<ObjectId> = match self.config.gc {
-            GcPolicy::Disabled => Vec::new(),
-            GcPolicy::WindowBased { horizon } => {
-                let mut victims: Vec<ObjectId> = self
-                    .index
-                    .iter()
-                    .filter(|(id, m)| {
-                        id.namespace() == namespace && m.epoch + horizon < current_epoch
-                    })
-                    .map(|(id, _)| *id)
-                    .collect();
-                victims.sort_unstable();
-                victims
-            }
-            GcPolicy::Aggressive { max_total_bytes } => {
-                let entries: Vec<(u64, ObjectId, u64)> = self
-                    .index
-                    .iter()
-                    .filter(|(id, _)| id.namespace() == namespace)
-                    .map(|(id, m)| (m.epoch, *id, m.bytes))
-                    .collect();
-                let total: u64 = entries.iter().map(|(_, _, b)| b).sum();
-                crate::gc::aggressive_victims(entries, total, max_total_bytes)
-            }
-        };
-        let n = victims.len() as u64;
-        for victim in victims {
-            self.namespaces.entry(namespace).or_default().collected += 1;
-            self.delete(victim);
-        }
-        self.stats.collected += n;
-        self.trace.with(|t| {
-            let tr = t.track(TRACE_TRACK);
-            let s = t.leaf_seconds(
-                tr,
-                SpanKind::Gc,
-                format!("gc ns {namespace} epoch {current_epoch}"),
-                0.0,
-            );
-            t.arg(s, "collected", n);
-            t.add("dcache.collected", n);
         });
         n
     }
@@ -838,7 +836,6 @@ impl DistributedCache {
                 self.enqueue_repair(object);
             }
         }
-        self.trace.with(|t| t.add("dcache.node_failures", 1));
     }
 
     /// Brings `node` back: its persistent objects become readable again
@@ -865,10 +862,8 @@ impl DistributedCache {
             if stale {
                 self.nodes[node.0].disk.remove(&object);
                 self.repair.stale_copies_purged += 1;
-                self.trace.with(|t| t.add("dcache.stale_copies_purged", 1));
             }
         }
-        self.trace.with(|t| t.add("dcache.node_recoveries", 1));
     }
 
     /// Drains the repair queue, re-replicating every enqueued object onto
@@ -899,7 +894,6 @@ impl DistributedCache {
             if let Some(s) = drain_span {
                 t.end(s);
             }
-            t.add("dcache.repair.repaired_objects", repaired);
         });
         repaired
     }
@@ -927,7 +921,6 @@ impl DistributedCache {
                 Some(_) => {
                     self.nodes[node.0].disk.remove(&object);
                     self.repair.corruptions_detected += 1;
-                    self.trace.with(|t| t.add("dcache.corruptions_detected", 1));
                 }
                 None => {}
             }
@@ -977,8 +970,6 @@ impl DistributedCache {
                     cost,
                 );
                 t.arg(s, "bytes", meta.bytes);
-                t.add("dcache.repair.copies_restored", 1);
-                t.add("dcache.repair.bytes", meta.bytes);
             });
         }
         new_replicas.sort_unstable();
@@ -1011,7 +1002,6 @@ impl DistributedCache {
         let pass = self.repair.scrub_passes;
         let scrub_span = self.trace.with(|t| {
             let tr = t.track(TRACE_TRACK);
-            t.add("dcache.scrub.passes", 1);
             t.begin(tr, SpanKind::Scrub, format!("scrub pass {pass}"))
         });
         let lat = self.config.latency;
@@ -1046,7 +1036,6 @@ impl DistributedCache {
                     self.nodes[node.0].disk.remove(&object);
                     self.repair.corruptions_detected += 1;
                     found += 1;
-                    self.trace.with(|t| t.add("dcache.corruptions_detected", 1));
                 }
             }
             if obj_copies > 0 {
@@ -1059,8 +1048,6 @@ impl DistributedCache {
                         obj_seconds,
                     );
                     t.arg(s, "copies", obj_copies);
-                    t.add("dcache.scrub.copies", obj_copies);
-                    t.add("dcache.scrub.bytes", obj_copies * meta.bytes);
                 });
             }
             if live_clean < want {
@@ -1101,7 +1088,6 @@ impl DistributedCache {
         self.repair.master_rebuilds += 1;
         let rebuild_span = self.trace.with(|t| {
             let tr = t.track(TRACE_TRACK);
-            t.add("dcache.master.rebuilds", 1);
             t.begin(tr, SpanKind::Repair, "rebuild master")
         });
         let lat = self.config.latency;
@@ -1137,7 +1123,6 @@ impl DistributedCache {
                 } else {
                     self.nodes[node.0].disk.remove(&object);
                     self.repair.corruptions_detected += 1;
-                    self.trace.with(|t| t.add("dcache.corruptions_detected", 1));
                 }
             }
             if verified.is_empty() {
@@ -1169,7 +1154,6 @@ impl DistributedCache {
                 if (copy.epoch, copy.bytes, copy.checksum) != (epoch, bytes, checksum) {
                     self.nodes[node.0].disk.remove(&object);
                     self.repair.stale_copies_purged += 1;
-                    self.trace.with(|t| t.add("dcache.stale_copies_purged", 1));
                 }
             }
             let home = (0..self.nodes.len())
@@ -1190,7 +1174,6 @@ impl DistributedCache {
             );
             reindexed += 1;
             self.repair.objects_reindexed += 1;
-            self.trace.with(|t| t.add("dcache.master.reindexed", 1));
             if replicas.len() < self.want_replicas() {
                 self.enqueue_repair(object);
             }

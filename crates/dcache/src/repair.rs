@@ -72,6 +72,24 @@ impl RepairStats {
     }
 }
 
+impl slider_trace::Visit for RepairStats {
+    /// Every counter except the `f64` seconds, under the names the
+    /// `dcache.*` trace counters use.
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        f("repair.enqueued", self.enqueued);
+        f("repair.repaired_objects", self.repaired_objects);
+        f("repair.copies_restored", self.copies_restored);
+        f("repair.bytes", self.repair_bytes);
+        f("scrub.passes", self.scrub_passes);
+        f("scrub.copies", self.scrubbed_copies);
+        f("scrub.bytes", self.scrub_bytes);
+        f("corruptions_detected", self.corruptions_detected);
+        f("stale_copies_purged", self.stale_copies_purged);
+        f("master.rebuilds", self.master_rebuilds);
+        f("master.reindexed", self.objects_reindexed);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -523,9 +523,6 @@ impl<J: JoinApp> JoinedJob<J> {
             t.arg(span, "pairs_added", added_n);
             t.arg(span, "pairs_removed", removed_n);
             t.end(span);
-            t.add("join.probe_work", batch_work);
-            t.add("join.pairs_added", added_n);
-            t.add("join.pairs_removed", removed_n);
         });
     }
 
@@ -594,7 +591,6 @@ impl<J: JoinApp> JoinedJob<J> {
             }
             t.arg(span, "work", total_work);
             t.end(span);
-            t.add("join.recompute_work", total_work);
         });
     }
 
@@ -620,13 +616,8 @@ impl<J: JoinApp> JoinedJob<J> {
         if did_something {
             run.stats.advances = 1;
             self.advance_seq += 1;
-            let (steps, probes) = (run.stats.steps, run.stats.probes);
-            self.trace.with(|t| {
-                t.add("join.advances", 1);
-                t.add("join.steps", steps);
-                t.add("join.probes", probes);
-            });
         }
+        self.trace.with(|t| t.absorb("join.", &run.stats));
         self.stats.absorb(&run.stats);
         Ok(run)
     }
@@ -882,16 +873,6 @@ mod tests {
         feed(&mut job, 60);
         let stats = job.stats();
         let snap: TraceSnapshot = trace.snapshot().expect("trace enabled");
-        assert_eq!(
-            snap.counter("join.probe_work"),
-            stats.probe_work,
-            "probe_work counter reconciles"
-        );
-        assert_eq!(snap.counter("join.pairs_added"), stats.pairs_added);
-        assert_eq!(snap.counter("join.pairs_removed"), stats.pairs_removed);
-        assert_eq!(snap.counter("join.advances"), stats.advances);
-        assert_eq!(snap.counter("join.steps"), stats.steps);
-        assert_eq!(snap.counter("join.probes"), stats.probes);
         assert_eq!(
             snap.work_total("join", SpanKind::Join, None),
             stats.probe_work,

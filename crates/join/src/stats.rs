@@ -2,8 +2,9 @@
 //!
 //! Everything here is integer arithmetic folded in deterministic order,
 //! so — like [`RunStats`](slider_mapreduce::RunStats) — every field is
-//! bit-identical across thread counts and reruns, and reconciles exactly
-//! with the counters/spans the operator emits on the `join` trace track.
+//! bit-identical across thread counts and reruns, reconciles exactly with
+//! the spans the operator emits on the `join` trace track, and is the
+//! only source of the `join.*` trace counters.
 
 use std::hash::Hash;
 
@@ -58,6 +59,19 @@ impl JoinStats {
     /// True when nothing has been recorded.
     pub fn is_zero(&self) -> bool {
         *self == JoinStats::default()
+    }
+}
+
+impl slider_trace::Visit for JoinStats {
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        f("advances", self.advances);
+        f("steps", self.steps);
+        f("probes", self.probes);
+        f("pairs_added", self.pairs_added);
+        f("pairs_removed", self.pairs_removed);
+        f("probe_work", self.probe_work);
+        f("recompute_work", self.recompute_work);
+        f("side_work", self.side_work);
     }
 }
 
@@ -144,6 +158,28 @@ mod tests {
     #[should_panic(expected = "never added")]
     fn removing_from_an_empty_cell_panics() {
         JoinCell::default().remove(1, 3);
+    }
+
+    /// Every field is a counter and is visited exactly once; the literal
+    /// lists every field so a new one fails to build here.
+    #[test]
+    fn visit_covers_every_counter_once() {
+        use slider_trace::Visit;
+
+        let stats = JoinStats {
+            advances: 1,
+            steps: 2,
+            probes: 3,
+            pairs_added: 4,
+            pairs_removed: 5,
+            probe_work: 6,
+            recompute_work: 7,
+            side_work: 8,
+        };
+        let mut values = Vec::new();
+        stats.visit(&mut |_, v| values.push(v));
+        values.sort_unstable();
+        assert_eq!(values, (1..=8).collect::<Vec<u64>>());
     }
 
     #[test]

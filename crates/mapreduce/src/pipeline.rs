@@ -16,6 +16,7 @@ use std::sync::Arc;
 
 use slider_cluster::{simulate, SimReport, Task};
 use slider_core::{hash_pair, StrawmanTree, TreeCx, UpdateStats};
+use slider_trace::{visit_prefixed, Visit};
 
 use crate::app::{AppCombiner, MapReduceApp};
 use crate::error::JobError;
@@ -62,6 +63,29 @@ impl InnerStageStats {
     /// Total work units this stage spent.
     pub fn total_work(&self) -> u64 {
         self.map_work + self.tree.foreground.work + self.reduce_work
+    }
+}
+
+/// Every counter of the stage; `buckets_total` is a per-run census, not
+/// a counter. The simulated schedule's counters nest under `sim.`.
+impl Visit for InnerStageStats {
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        f("map_work", self.map_work);
+        f("contraction_fg_work", self.tree.foreground.work);
+        f("merges_fg", self.tree.foreground.merges);
+        f("contraction_bg_work", self.tree.background.work);
+        f("merges_bg", self.tree.background.merges);
+        f("nodes_reused", self.tree.reused);
+        f("leaves_added", self.tree.leaves_added);
+        f("leaves_removed", self.tree.leaves_removed);
+        f("memo_written_bytes", self.tree.bytes_written);
+        f("memo_read_bytes", self.tree.bytes_read);
+        f("reduce_work", self.reduce_work);
+        f("buckets_changed", self.buckets_changed as u64);
+        f("keys_reduced", self.keys_reduced as u64);
+        if let Some(sim) = &self.sim {
+            visit_prefixed(sim, "sim.", f);
+        }
     }
 }
 
@@ -574,7 +598,8 @@ where
             rows = stage.output_rows();
             // One Stage span per inner stage, with phase leaves carrying
             // the exact work operands stored in `InnerStageStats` — the
-            // pipeline track reconciles per kind against the stats fold.
+            // pipeline track reconciles per kind against the stats fold —
+            // and the stage's counters folded from the same stats.
             trace.with(|t| {
                 use slider_trace::SpanKind;
                 let tr = t.track("pipeline");
@@ -595,8 +620,7 @@ where
                     t.leaf(tr, SpanKind::Reduce, "reduce", stats.reduce_work);
                 }
                 t.end(span);
-                t.add("pipeline.buckets_changed", stats.buckets_changed as u64);
-                t.add("pipeline.keys_reduced", stats.keys_reduced as u64);
+                t.absorb("pipeline.", &stats);
             });
             result.inner.push(stats);
         }
@@ -826,5 +850,47 @@ mod tests {
         let pipeline = build();
         assert_eq!(pipeline.stage_names(), vec!["histogram"]);
         assert_eq!(pipeline.stages(), 2);
+    }
+
+    /// Every integer field is visited exactly once; the literal lists every
+    /// field so a new one fails to build here. Exempt: `buckets_total` (a
+    /// per-run census) and the simulated schedule's `f64` seconds and
+    /// per-stage breakdown.
+    #[test]
+    fn visit_covers_every_counter_once() {
+        use slider_core::PhaseWork;
+
+        let stats = InnerStageStats {
+            map_work: 1,
+            tree: UpdateStats {
+                foreground: PhaseWork { merges: 2, work: 3 },
+                background: PhaseWork { merges: 4, work: 5 },
+                reused: 6,
+                leaves_added: 7,
+                leaves_removed: 8,
+                bytes_written: 9,
+                bytes_read: 10,
+            },
+            reduce_work: 11,
+            buckets_changed: 12,
+            buckets_total: 1000,
+            keys_reduced: 13,
+            sim: Some(SimReport {
+                makespan: 1.5,
+                stages: Vec::new(),
+                tasks_run: 14,
+                busy_seconds: 2.5,
+                migrations: 15,
+                retried_tasks: 16,
+                speculative_tasks: 17,
+                recovery_seconds: 3.5,
+                repair_network_bytes: 18,
+                repair_seconds: 4.5,
+            }),
+        };
+        let mut values = Vec::new();
+        stats.visit(&mut |_, v| values.push(v));
+        values.sort_unstable();
+        assert_eq!(values, (1..=18).collect::<Vec<u64>>());
     }
 }

@@ -3,6 +3,7 @@
 use slider_cluster::SimReport;
 use slider_core::PhaseWork;
 use slider_dcache::{CacheStats, RepairStats};
+use slider_trace::{visit_prefixed, Visit};
 
 /// Work performed by one run, split by phase (the paper's Figure 9
 /// breakdown).
@@ -32,6 +33,18 @@ impl WorkBreakdown {
     /// Total including background pre-processing.
     pub fn grand_total(&self) -> u64 {
         self.foreground_total() + self.contraction_bg.work
+    }
+}
+
+impl Visit for WorkBreakdown {
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        f("work.map", self.map);
+        f("work.contraction_fg", self.contraction_fg.work);
+        f("merges_fg", self.contraction_fg.merges);
+        f("work.contraction_bg", self.contraction_bg.work);
+        f("merges_bg", self.contraction_bg.merges);
+        f("work.reduce", self.reduce);
+        f("work.movement", self.movement);
     }
 }
 
@@ -69,6 +82,20 @@ impl RecoveryStats {
     /// True when this run performed no recovery work at all.
     pub fn is_zero(&self) -> bool {
         *self == RecoveryStats::default()
+    }
+}
+
+impl Visit for RecoveryStats {
+    /// Every counter except `backoff_seconds` (simulated seconds).
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        f("lost_partitions", self.lost_partitions as u64);
+        f("rebuild_work", self.rebuild_work);
+        f("rebuild_merges", self.rebuild_merges);
+        f("keys_recomputed", self.keys_recomputed as u64);
+        f("cache_misses_recovered", self.cache_misses_recovered);
+        f("cache_not_found", self.cache_not_found);
+        f("cache_unavailable", self.cache_unavailable);
+        f("read_retries", self.read_retries);
     }
 }
 
@@ -147,6 +174,32 @@ impl RunStats {
     }
 }
 
+/// The run's counters under the names of the layer that did the work:
+/// `engine.*`, `recovery.*`, `dcache.*` (the run's cache traffic and
+/// repair) and `cluster.*` (foreground and background schedules fold into
+/// the same names). `run` is an index and the two footprints are
+/// last-value gauges, so none of them is visited.
+impl Visit for RunStats {
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        visit_prefixed(&self.work, "engine.", f);
+        f("engine.map_tasks", self.map_tasks as u64);
+        f("engine.map_reused", self.map_reused as u64);
+        f("engine.nodes_reused", self.nodes_reused);
+        f("engine.keys_reduced", self.keys_reduced as u64);
+        f("engine.keys_reused", self.keys_reused as u64);
+        f("engine.shuffle_bytes", self.shuffle_bytes);
+        f("engine.memo_read_bytes", self.memo_read_bytes);
+        for sim in self.sim.iter().chain(&self.sim_background) {
+            visit_prefixed(sim, "cluster.", f);
+        }
+        if let Some(cache) = &self.cache {
+            visit_prefixed(cache, "dcache.", f);
+        }
+        visit_prefixed(&self.recovery, "recovery.", f);
+        visit_prefixed(&self.repair, "dcache.", f);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,6 +216,93 @@ mod tests {
         w.contraction_bg.record(4);
         assert_eq!(w.foreground_total(), 20);
         assert_eq!(w.grand_total(), 24);
+    }
+
+    /// Every integer field of `RunStats` and of the stats it nests is
+    /// visited exactly once. The literals list every field (no
+    /// `..Default::default()`), so a new field fails to build here until
+    /// it is visited or exempted. Exempt: `run` (an index),
+    /// `memo_footprint_bytes` and `window_input_bytes` (last-value
+    /// gauges), `SimReport::stages` (the cluster track's stage spans) and
+    /// every `f64` seconds field.
+    #[test]
+    fn visit_covers_every_counter_once() {
+        use slider_cluster::SimReport;
+        use slider_core::PhaseWork;
+
+        let sim = |base: usize| SimReport {
+            makespan: 1.5,
+            stages: Vec::new(),
+            tasks_run: base,
+            busy_seconds: 2.5,
+            migrations: base as u64 + 1,
+            retried_tasks: base as u64 + 2,
+            speculative_tasks: base as u64 + 3,
+            recovery_seconds: 3.5,
+            repair_network_bytes: base as u64 + 4,
+            repair_seconds: 4.5,
+        };
+        let stats = RunStats {
+            run: 1000,
+            work: WorkBreakdown {
+                map: 1,
+                contraction_fg: PhaseWork { merges: 2, work: 3 },
+                contraction_bg: PhaseWork { merges: 4, work: 5 },
+                reduce: 6,
+                movement: 7,
+            },
+            map_tasks: 8,
+            map_reused: 9,
+            nodes_reused: 10,
+            keys_reduced: 11,
+            keys_reused: 12,
+            shuffle_bytes: 13,
+            memo_read_bytes: 14,
+            memo_footprint_bytes: 1001,
+            window_input_bytes: 1002,
+            sim: Some(sim(15)),
+            sim_background: Some(sim(20)),
+            cache: Some(CacheStats {
+                memory_hits: 25,
+                disk_reads: 26,
+                not_found_reads: 27,
+                unavailable_reads: 28,
+                read_seconds: 5.5,
+                bytes_read: 29,
+                collected: 30,
+                evictions: 31,
+            }),
+            recovery: RecoveryStats {
+                lost_partitions: 32,
+                rebuild_work: 33,
+                rebuild_merges: 34,
+                keys_recomputed: 35,
+                cache_misses_recovered: 36,
+                cache_not_found: 37,
+                cache_unavailable: 38,
+                read_retries: 39,
+                backoff_seconds: 6.5,
+            },
+            repair: RepairStats {
+                enqueued: 40,
+                repaired_objects: 41,
+                copies_restored: 42,
+                repair_bytes: 43,
+                repair_seconds: 7.5,
+                scrub_passes: 44,
+                scrubbed_copies: 45,
+                scrub_bytes: 46,
+                scrub_seconds: 8.5,
+                corruptions_detected: 47,
+                stale_copies_purged: 48,
+                master_rebuilds: 49,
+                objects_reindexed: 50,
+            },
+        };
+        let mut values = Vec::new();
+        stats.visit(&mut |_, v| values.push(v));
+        values.sort_unstable();
+        assert_eq!(values, (1..=50).collect::<Vec<u64>>());
     }
 
     #[test]

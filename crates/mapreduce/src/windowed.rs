@@ -898,8 +898,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
             self.used_split_ids.insert(split.id().0);
         }
 
-        let stats = self.map_phase_stats(&new_entries);
-        self.trace_map_phase(&stats, &new_entries);
+        let stats = self.map_phase(&new_entries);
 
         // ---- Contraction + Reduce phase. ---------------------------------
         let outcome = match self.config.mode {
@@ -961,8 +960,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
             self.used_split_ids.insert(split.id().0);
         }
 
-        let stats = self.map_phase_stats(&new_entries);
-        self.trace_map_phase(&stats, &new_entries);
+        let stats = self.map_phase(&new_entries);
 
         // ---- Contraction + Reduce phase. ---------------------------------
         let outcome = match self.config.mode {
@@ -1013,8 +1011,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
 
         // ---- Map phase: nothing maps; the evicted entries leave the window.
         let removed: Vec<SplitEntry<A>> = self.window.drain(at..at + count).collect();
-        let stats = self.map_phase_stats(&[]);
-        self.trace_map_phase(&stats, &[]);
+        let stats = self.map_phase(&[]);
 
         // ---- Contraction + Reduce phase. ---------------------------------
         let outcome = match self.config.mode {
@@ -1048,64 +1045,52 @@ impl<A: MapReduceApp> WindowedJob<A> {
         Ok((run_span, recovery, repair_before))
     }
 
-    /// Map-phase statistics shared by slides and splices: `new_entries`
-    /// were mapped this run, everything else in the (already updated)
-    /// window is reused — except under [`ExecMode::Recompute`], which
-    /// re-maps and re-shuffles the whole window every run.
-    fn map_phase_stats(&self, new_entries: &[SplitEntry<A>]) -> RunStats {
+    /// The map phase's statistics and spans, shared by slides and
+    /// splices: `new_entries` were mapped this run, everything else in the
+    /// (already updated) window is reused — except under
+    /// [`ExecMode::Recompute`], which re-maps and re-shuffles the whole
+    /// window every run. One Map leaf per executed map task, in
+    /// deterministic task order, carries the work `stats.work.map` sums;
+    /// the shuffle leaf carries `stats.shuffle_bytes`.
+    fn map_phase(&self, new_entries: &[SplitEntry<A>]) -> RunStats {
+        let recompute = self.config.mode == ExecMode::Recompute;
+        let (front, back) = self.window.as_slices();
+        let parts: [&[SplitEntry<A>]; 2] = if recompute {
+            [front, back]
+        } else {
+            [new_entries, &[]]
+        };
+        let mapped = || parts.iter().flat_map(|part| part.iter());
         let mut stats = RunStats {
             run: self.run_index,
+            map_tasks: mapped().count(),
+            shuffle_bytes: mapped().map(|e| e.output_bytes()).sum(),
             ..Default::default()
         };
-        stats.map_tasks = new_entries.len();
-        stats.work.map = new_entries.iter().map(|e| e.map_work).sum();
-        stats.shuffle_bytes = new_entries.iter().map(|e| e.output_bytes()).sum();
-        if self.config.mode == ExecMode::Recompute {
-            stats.map_tasks = self.window.len();
-            stats.work.map = self.window.iter().map(|e| e.map_work).sum();
-            stats.shuffle_bytes = self.window.iter().map(|e| e.output_bytes()).sum();
-        } else {
+        stats.work.map = mapped().map(|e| e.map_work).sum();
+        if !recompute {
             stats.map_reused = self.window.len() - new_entries.len();
         }
-        stats
-    }
-
-    /// Emits the map-phase spans and counters: one Map leaf per executed
-    /// map task, in deterministic task order; leaf works sum exactly to
-    /// `stats.work.map`, the shuffle leaf carries `stats.shuffle_bytes`.
-    fn trace_map_phase(&self, stats: &RunStats, new_entries: &[SplitEntry<A>]) {
         self.trace.with(|t| {
             let tr = t.track("engine");
             let map_span = t.begin(tr, SpanKind::Map, "map");
-            let mapped: Vec<(u64, u64, u64)> = if self.config.mode == ExecMode::Recompute {
-                self.window
-                    .iter()
-                    .map(|e| (e.id.0, e.map_work, e.input_bytes))
-                    .collect()
-            } else {
-                new_entries
-                    .iter()
-                    .map(|e| (e.id.0, e.map_work, e.input_bytes))
-                    .collect()
-            };
-            for (id, map_work, input_bytes) in mapped {
-                let leaf = t.leaf(tr, SpanKind::Map, format!("split {id}"), map_work);
-                t.arg(leaf, "input_bytes", input_bytes);
+            for e in mapped() {
+                let leaf = t.leaf(tr, SpanKind::Map, format!("split {}", e.id.0), e.map_work);
+                t.arg(leaf, "input_bytes", e.input_bytes);
             }
             t.end(map_span);
             let shuffle = t.leaf(tr, SpanKind::Shuffle, "shuffle", 0);
             t.arg(shuffle, "bytes", stats.shuffle_bytes);
-            t.add("engine.map_tasks", stats.map_tasks as u64);
-            t.add("engine.map_reused", stats.map_reused as u64);
-            t.add("engine.shuffle_bytes", stats.shuffle_bytes);
         });
+        stats
     }
 
     /// Shared tail of every run (slide or splice): folds the contraction
     /// outcome into `stats`, emits the contraction/reduce/background
     /// spans, refreshes footprints, charges data movement, runs the
     /// cluster simulation and cache model, meters recovery and repair,
-    /// closes the run span and bumps the run index.
+    /// folds the finished stats into the trace counters, closes the run
+    /// span and bumps the run index.
     fn finish_run(
         &mut self,
         mut stats: RunStats,
@@ -1128,57 +1113,38 @@ impl<A: MapReduceApp> WindowedJob<A> {
         // Foreground leaf works sum to `stats.work.contraction_fg.work`,
         // reduce leaves to `stats.work.reduce`, background leaves (their
         // own track: off the critical path) to `contraction_bg.work`.
+        type PhaseLeaves = (
+            &'static str,
+            SpanKind,
+            &'static str,
+            fn(&PartitionWork) -> u64,
+        );
+        let phases: [PhaseLeaves; 3] = [
+            ("engine", SpanKind::ContractionFg, "contraction-fg", |pw| {
+                pw.fg_work
+            }),
+            ("engine", SpanKind::Reduce, "reduce", |pw| pw.reduce_work),
+            (
+                "background",
+                SpanKind::ContractionBg,
+                "contraction-bg",
+                |pw| pw.bg_work,
+            ),
+        ];
         trace.with(|t| {
-            let tr = t.track("engine");
-            let fg = t.begin(tr, SpanKind::ContractionFg, "contraction-fg");
-            for (p, pw) in outcome.per_partition.iter().enumerate() {
-                if pw.fg_work > 0 {
-                    t.leaf(
-                        tr,
-                        SpanKind::ContractionFg,
-                        format!("partition {p}"),
-                        pw.fg_work,
-                    );
+            for (track, kind, name, work) in phases {
+                let parts = &outcome.per_partition;
+                // The background track appears only once split mode works.
+                if kind == SpanKind::ContractionBg && parts.iter().all(|pw| work(pw) == 0) {
+                    continue;
                 }
-            }
-            t.end(fg);
-            let reduce = t.begin(tr, SpanKind::Reduce, "reduce");
-            for (p, pw) in outcome.per_partition.iter().enumerate() {
-                if pw.reduce_work > 0 {
-                    t.leaf(
-                        tr,
-                        SpanKind::Reduce,
-                        format!("partition {p}"),
-                        pw.reduce_work,
-                    );
+                let tr = t.track(track);
+                let span = t.begin(tr, kind, name);
+                for (p, pw) in parts.iter().enumerate().filter(|(_, pw)| work(pw) > 0) {
+                    t.leaf(tr, kind, format!("partition {p}"), work(pw));
                 }
+                t.end(span);
             }
-            t.end(reduce);
-            if outcome.per_partition.iter().any(|pw| pw.bg_work > 0) {
-                let bg_track = t.track("background");
-                let bg = t.begin(bg_track, SpanKind::ContractionBg, "contraction-bg");
-                for (p, pw) in outcome.per_partition.iter().enumerate() {
-                    if pw.bg_work > 0 {
-                        t.leaf(
-                            bg_track,
-                            SpanKind::ContractionBg,
-                            format!("partition {p}"),
-                            pw.bg_work,
-                        );
-                    }
-                }
-                t.end(bg);
-            }
-            t.add("engine.keys_reduced", stats.keys_reduced as u64);
-            t.add("engine.keys_reused", stats.keys_reused as u64);
-            t.add("engine.nodes_reused", stats.nodes_reused);
-            t.add("engine.merges_fg", outcome.tree_stats.foreground.merges);
-            t.add("engine.merges_bg", outcome.tree_stats.background.merges);
-            t.add("engine.memo_read_bytes", outcome.tree_stats.bytes_read);
-            t.add(
-                "engine.memo_written_bytes",
-                outcome.tree_stats.bytes_written,
-            );
         });
 
         // Refresh shard footprints (a per-shard tree walk, parallel too).
@@ -1217,26 +1183,6 @@ impl<A: MapReduceApp> WindowedJob<A> {
             self.run_cache_maintenance();
         }
         stats.recovery = recovery;
-        trace.with(|t| {
-            t.add(
-                "recovery.lost_partitions",
-                stats.recovery.lost_partitions as u64,
-            );
-            t.add(
-                "recovery.keys_recomputed",
-                stats.recovery.keys_recomputed as u64,
-            );
-            t.add(
-                "recovery.cache_misses_recovered",
-                stats.recovery.cache_misses_recovered,
-            );
-            t.add("recovery.cache_not_found", stats.recovery.cache_not_found);
-            t.add(
-                "recovery.cache_unavailable",
-                stats.recovery.cache_unavailable,
-            );
-            t.add("recovery.read_retries", stats.recovery.read_retries);
-        });
         if let Some(cache) = &self.cache {
             stats.repair = cache.with(|c| c.repair_stats()).delta_since(&repair_before);
             // Repair traffic rides the same network as the job; account it
@@ -1251,8 +1197,8 @@ impl<A: MapReduceApp> WindowedJob<A> {
             // Run-level repair/scrub summary spans carry the exact f64
             // deltas stored in `stats.repair`, so span seconds reconcile
             // bit-for-bit with `RepairStats` (the fine-grained dcache-track
-            // spans reconcile via u64 counters instead: float telescoping
-            // deltas are not exactly refoldable).
+            // spans carry u64 args instead: float telescoping deltas are not
+            // exactly refoldable).
             trace.with(|t| {
                 let tr = t.track("repair");
                 let repair =
@@ -1267,7 +1213,10 @@ impl<A: MapReduceApp> WindowedJob<A> {
                 t.arg(scrub, "scrub_bytes", stats.repair.scrub_bytes);
             });
         }
+        // The run's counters are a fold of its finished stats: nothing
+        // above writes a counter of its own.
         trace.with(|t| {
+            t.absorb("", &stats);
             if let Some(span) = run_span {
                 t.end(span);
             }
@@ -1818,17 +1767,7 @@ impl<A: MapReduceApp> WindowedJob<A> {
             let run = self.run_index;
             cache.with(|c| c.collect_garbage_scoped(ns, run));
         }
-        let after = cache.stats();
-        CacheStats {
-            memory_hits: after.memory_hits - before.memory_hits,
-            disk_reads: after.disk_reads - before.disk_reads,
-            not_found_reads: after.not_found_reads - before.not_found_reads,
-            unavailable_reads: after.unavailable_reads - before.unavailable_reads,
-            read_seconds: after.read_seconds - before.read_seconds,
-            bytes_read: after.bytes_read - before.bytes_read,
-            collected: after.collected - before.collected,
-            evictions: after.evictions - before.evictions,
-        }
+        cache.stats().delta_since(&before)
     }
 
     /// End-of-run cache maintenance, the paper's split-processing idea

@@ -216,7 +216,6 @@ impl QueryExecutor {
                 );
             }
             t.end(span);
-            t.add("query.runs", 1);
         });
     }
 }

@@ -8,13 +8,13 @@ use slider_core::SlidingWindowCounter;
 use slider_mapreduce::{
     EngineShared, EventFeeder, JobConfig, JobError, MapReduceApp, RunStats, Stamped, WindowedJob,
 };
-use slider_trace::{SpanKind, TrackId};
+use slider_trace::{SpanKind, TrackId, Visit};
 
 use crate::admission::{AdmissionGate, Decision, OverloadConfig};
 use crate::breaker::CircuitBreaker;
 use crate::error::ServeError;
 use crate::snapshot::{OverloadSnapshot, ServiceSnapshot, TenantSnapshot, SNAPSHOT_VERSION};
-use crate::stats::{ServeStats, TenantStats};
+use crate::stats::{Growth, ServeStats, TenantStats};
 use crate::tenant::{TenantId, TenantReport, TenantSpec, WindowView};
 
 /// What one front-door request produced: the admission verdict and, for
@@ -71,7 +71,10 @@ pub struct ServiceRuntime<A: MapReduceApp> {
     tenants: BTreeMap<TenantId, TenantEntry<A>>,
     names: BTreeMap<String, TenantId>,
     next_id: u64,
-    stats: ServeStats,
+    /// The part of the roll-up no live tenant holds: the registry
+    /// counters and the retired fold of deregistered tenants' stats.
+    /// [`ServiceRuntime::serve_stats`] adds the live tenants to it.
+    base: ServeStats,
     overload: Option<OverloadState>,
 }
 
@@ -83,7 +86,7 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
             tenants: BTreeMap::new(),
             names: BTreeMap::new(),
             next_id: 1,
-            stats: ServeStats::default(),
+            base: ServeStats::default(),
             overload: None,
         }
     }
@@ -147,7 +150,7 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
                 spec,
             },
         );
-        self.stats.tenants_registered += 1;
+        self.base.tenants_registered += 1;
         Ok(id)
     }
 
@@ -162,23 +165,17 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
             .remove(&id)
             .ok_or(ServeError::UnknownTenant(id.0))?;
         self.names.remove(&entry.name);
-        let final_runs = match entry.feeder.close_all() {
-            Ok(runs) => runs,
-            Err(e) => {
-                // Registry state stays consistent: the tenant is gone
-                // either way, only its drain failed.
-                self.stats.tenants_deregistered += 1;
-                return Err(e.into());
-            }
-        };
-        for run in &final_runs {
+        // Registry state and the roll-up stay consistent: the tenant is
+        // gone and retired either way, even if only its drain fails.
+        self.base.tenants_deregistered += 1;
+        let drained = entry.feeder.close_all();
+        let before = entry.stats;
+        for run in drained.iter().flatten() {
             entry.stats.absorb(run);
-            self.stats.absorb(run);
         }
-        self.stats.tenants_deregistered += 1;
-        self.shared.trace().with(|t| {
-            t.add("serve.deregistered", 1);
-        });
+        self.trace_growth(&entry.stats, &before);
+        self.base = self.base.plus_tenants([&entry.stats]);
+        let final_runs = drained?;
         Ok(TenantReport {
             name: entry.name,
             stats: entry.stats,
@@ -216,6 +213,22 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
         arrival: u64,
         records: Vec<Stamped<A::Input>>,
     ) -> Result<IngestOutcome, ServeError> {
+        let before = *self.tenant_stats(id)?;
+        let result = self.admit_and_dispatch(id, arrival, records);
+        if let Some(entry) = self.tenants.get(&id) {
+            self.trace_growth(&entry.stats, &before);
+        }
+        result
+    }
+
+    /// The body of [`ServiceRuntime::ingest`]: every fact it accounts is
+    /// written once, into the tenant's [`TenantStats`].
+    fn admit_and_dispatch(
+        &mut self,
+        id: TenantId,
+        arrival: u64,
+        records: Vec<Stamped<A::Input>>,
+    ) -> Result<IngestOutcome, ServeError> {
         let entry = self
             .tenants
             .get_mut(&id)
@@ -226,7 +239,6 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
         if let Some(remaining) = entry.breaker.as_mut().and_then(|b| b.check(arrival)) {
             let decision = Decision::BreakerOpen { remaining };
             entry.stats.count(&decision, count);
-            self.stats.count(&decision, count);
             Self::trace_decision(&self.shared, entry, decision, count);
             return Ok(IngestOutcome {
                 decision,
@@ -259,7 +271,6 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
         //    bounced requests must not consume rate slots or quota).
         let decision = verdict.unwrap_or_else(|| entry.gate.admit(arrival, count));
         entry.stats.count(&decision, count);
-        self.stats.count(&decision, count);
         if !decision.is_admitted() {
             Self::trace_decision(&self.shared, entry, decision, count);
             return Ok(IngestOutcome {
@@ -290,15 +301,11 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
             let mut attempt: u32 = 1;
             while attempt <= failing && attempt <= policy.retry.max_retries {
                 entry.stats.dispatch_retries += 1;
-                self.stats.dispatch_retries += 1;
                 if let Some(clock) = self.shared.clock() {
                     clock.advance(
                         policy.retry_backoff_seconds * policy.retry.backoff_multiplier(attempt),
                     );
                 }
-                self.shared
-                    .trace()
-                    .with(|t| t.add("serve.dispatch-retry", 1));
                 attempt += 1;
             }
             if attempt <= failing {
@@ -308,7 +315,7 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
                      (retry budget {})",
                     policy.retry.max_retries
                 ));
-                Self::fail_dispatch(&self.shared, &mut self.stats, entry, arrival, count);
+                Self::fail_dispatch(&self.shared, entry, arrival, count);
                 return Err(ServeError::Job(error));
             }
         }
@@ -318,7 +325,7 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
             Err(e) => {
                 // A real dispatch failure charges the breaker exactly
                 // like an injected one.
-                Self::fail_dispatch(&self.shared, &mut self.stats, entry, arrival, count);
+                Self::fail_dispatch(&self.shared, entry, arrival, count);
                 return Err(e.into());
             }
         };
@@ -327,43 +334,52 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
         }
         for run in &runs {
             entry.stats.absorb(run);
-            self.stats.absorb(run);
         }
         Self::trace_decision(&self.shared, entry, decision, count);
         Ok(IngestOutcome { decision, runs })
     }
 
-    /// Emits the per-request trace record (the tenant-track leaf and the
-    /// service counters) for a settled decision.
+    /// Folds how far a tenant's stats grew since `before` into the
+    /// `serve.*` trace counters.
+    fn trace_growth(&self, now: &TenantStats, before: &TenantStats) {
+        self.shared
+            .trace()
+            .with(|t| t.absorb("serve.", &Growth { now, before }));
+    }
+
+    /// Emits the per-request leaf on the tenant's track for a settled
+    /// decision.
     fn trace_decision(
         shared: &EngineShared,
         entry: &TenantEntry<A>,
         decision: Decision,
         count: usize,
     ) {
-        shared.trace().with(|t| {
-            let name = match decision {
-                Decision::Admitted { .. } => "request",
-                Decision::TooLarge { .. } => "reject:too-large",
-                Decision::RateLimited { .. } => "reject:rate-limited",
-                Decision::OverQuota { .. } => "reject:over-quota",
-                Decision::BreakerOpen { .. } => "reject:breaker-open",
-                Decision::DeadlineExceeded { .. } => "reject:deadline",
-                Decision::Shed { .. } => "reject:shed",
-            };
-            if let Some(track) = entry.track {
-                t.leaf(track, SpanKind::Stage, name, count as u64);
-            }
-            t.add("serve.requests", 1);
-            t.add(&format!("serve.{name}"), 1);
-        });
+        let name = match decision {
+            Decision::Admitted { .. } => "request",
+            Decision::TooLarge { .. } => "reject:too-large",
+            Decision::RateLimited { .. } => "reject:rate-limited",
+            Decision::OverQuota { .. } => "reject:over-quota",
+            Decision::BreakerOpen { .. } => "reject:breaker-open",
+            Decision::DeadlineExceeded { .. } => "reject:deadline",
+            Decision::Shed { .. } => "reject:shed",
+        };
+        Self::trace_leaf(shared, entry, name, count);
+    }
+
+    /// Emits one request leaf named `name` on the tenant's track.
+    fn trace_leaf(shared: &EngineShared, entry: &TenantEntry<A>, name: &str, count: usize) {
+        if let Some(track) = entry.track {
+            shared
+                .trace()
+                .with(|t| t.leaf(track, SpanKind::Stage, name, count as u64));
+        }
     }
 
     /// Books an exhausted dispatch: failure counters, breaker charge
-    /// (counting a trip when this failure opens it), trace records.
+    /// (counting a trip when this failure opens it), the tenant-track leaf.
     fn fail_dispatch(
         shared: &EngineShared,
-        stats: &mut ServeStats,
         entry: &mut TenantEntry<A>,
         arrival: u64,
         count: usize,
@@ -373,21 +389,10 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
             .as_mut()
             .is_some_and(|b| b.on_failure(arrival));
         entry.stats.dispatch_failures += 1;
-        stats.dispatch_failures += 1;
         if tripped {
             entry.stats.breaker_trips += 1;
-            stats.breaker_trips += 1;
         }
-        shared.trace().with(|t| {
-            if let Some(track) = entry.track {
-                t.leaf(track, SpanKind::Stage, "dispatch-failed", count as u64);
-            }
-            t.add("serve.requests", 1);
-            t.add("serve.dispatch-failed", 1);
-            if tripped {
-                t.add("serve.breaker-trip", 1);
-            }
-        });
+        Self::trace_leaf(shared, entry, "dispatch-failed", count);
     }
 
     /// Captures a deep, versioned checkpoint of the whole service: every
@@ -410,7 +415,7 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
                 .map(slider_dcache::SharedCache::snapshot_cache),
             namespace_watermark: self.shared.namespace_watermark(),
             next_id: self.next_id,
-            stats: self.stats,
+            base: self.base,
             overload: self.overload.as_ref().map(|o| OverloadSnapshot {
                 config: o.config.clone(),
                 gauge: o.gauge.snapshot(),
@@ -503,13 +508,12 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
                 },
             );
         }
-        shared.trace().with(|t| t.add("serve.restored", 1));
         Ok(ServiceRuntime {
             shared,
             tenants,
             names,
             next_id: snapshot.next_id,
-            stats: snapshot.stats,
+            base: snapshot.base,
             overload: snapshot.overload.as_ref().map(|o| OverloadState {
                 config: o.config.clone(),
                 gauge: SlidingWindowCounter::restore(&o.gauge),
@@ -555,21 +559,25 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
             .ok_or(ServeError::UnknownTenant(id.0))
     }
 
-    /// The service-wide roll-up (includes deregistered tenants).
-    pub fn serve_stats(&self) -> &ServeStats {
-        &self.stats
+    /// The service-wide roll-up (includes deregistered tenants): the
+    /// registry counters plus the sum of every tenant's [`TenantStats`],
+    /// live or retired.
+    pub fn serve_stats(&self) -> ServeStats {
+        self.base
+            .plus_tenants(self.tenants.values().map(|entry| &entry.stats))
     }
 
     /// The health endpoint: one line per tenant, in id order. A tenant is
     /// `ok` when its job is live; the service line leads with totals.
     pub fn health(&self) -> String {
         let mut out = String::new();
+        let stats = self.serve_stats();
         let _ = write!(
             out,
             "service tenants={} requests={} runs={}",
             self.tenants.len(),
-            self.stats.requests,
-            self.stats.runs
+            stats.requests,
+            stats.runs
         );
         if let Some(o) = &self.overload {
             let estimate = o.gauge.count(o.last_arrival);
@@ -610,42 +618,15 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
 
     /// The metrics endpoint: a deterministic text rendering of
     /// [`ServeStats`], the per-tenant folds, per-namespace cache
-    /// accounting, and the shared simulated clock. Byte-identical across
-    /// reruns and worker-thread counts.
+    /// accounting, and the shared simulated clock. Every stats line is the
+    /// stats type's own [`Visit`] walk rendered as `name=value` pairs.
+    /// Byte-identical across reruns and worker-thread counts.
     pub fn metrics(&self) -> String {
         let mut out = String::new();
-        let s = &self.stats;
         let _ = writeln!(out, "# slider-serve metrics");
-        let _ = writeln!(
-            out,
-            "service tenants_active={} tenants_registered={} tenants_deregistered={}",
-            self.tenants.len(),
-            s.tenants_registered,
-            s.tenants_deregistered
-        );
-        let _ = writeln!(
-            out,
-            "requests total={} admitted={} rate_limited={} over_quota={} too_large={} \
-             breaker_open={} shed={} deadline_exceeded={}",
-            s.requests,
-            s.admitted,
-            s.rate_limited,
-            s.over_quota,
-            s.too_large,
-            s.breaker_open,
-            s.shed,
-            s.deadline_exceeded
-        );
-        let _ = writeln!(
-            out,
-            "dispatch failures={} retries={} breaker_trips={}",
-            s.dispatch_failures, s.dispatch_retries, s.breaker_trips
-        );
-        let _ = writeln!(
-            out,
-            "records admitted={} rejected={}",
-            s.records_admitted, s.records_rejected
-        );
+        let _ = write!(out, "service tenants_active={}", self.tenants.len());
+        render(&mut out, "service", &self.serve_stats());
+        out.push('\n');
         if let Some(o) = &self.overload {
             let _ = writeln!(
                 out,
@@ -656,36 +637,10 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
                 o.last_arrival
             );
         }
-        let _ = writeln!(
-            out,
-            "engine runs={} work_fg={} work_grand={}",
-            s.runs, s.work_foreground, s.work_grand
-        );
         for (id, entry) in &self.tenants {
-            let t = &entry.stats;
-            let _ = write!(
-                out,
-                "tenant id={} name={} requests={} admitted={} rate_limited={} \
-                 over_quota={} too_large={} breaker_open={} shed={} \
-                 deadline_exceeded={} dispatch_failures={} records={} runs={} \
-                 work_fg={} work_grand={} footprint={}",
-                id,
-                entry.name,
-                t.requests,
-                t.admitted,
-                t.rate_limited,
-                t.over_quota,
-                t.too_large,
-                t.breaker_open,
-                t.shed,
-                t.deadline_exceeded,
-                t.dispatch_failures,
-                t.records_admitted,
-                t.runs,
-                t.work_foreground,
-                t.work_grand,
-                t.memo_footprint_bytes
-            );
+            let _ = write!(out, "tenant id={} name={}", id, entry.name);
+            render(&mut out, "tenant", &entry.stats);
+            let _ = write!(out, " footprint={}", entry.stats.memo_footprint_bytes);
             if let Some(breaker) = &entry.breaker {
                 let _ = write!(out, " breaker={}", breaker.describe());
             }
@@ -694,20 +649,9 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
         if let Some(cache) = self.shared.cache() {
             for (id, entry) in &self.tenants {
                 let ns = entry.feeder.job().cache_namespace();
-                let n = cache.namespace_stats(ns);
-                let _ = writeln!(
-                    out,
-                    "cache ns={} tenant={} puts={} put_bytes={} evictions={} \
-                     collected={} live_objects={} live_bytes={}",
-                    ns,
-                    id,
-                    n.puts,
-                    n.put_bytes,
-                    n.evictions,
-                    n.collected,
-                    n.live_objects,
-                    n.live_bytes
-                );
+                let _ = write!(out, "cache ns={ns} tenant={id}");
+                render(&mut out, "cache", &cache.namespace_stats(ns));
+                out.push('\n');
             }
         }
         if let Some(clock) = self.shared.clock() {
@@ -720,6 +664,22 @@ impl<A: MapReduceApp> ServiceRuntime<A> {
         }
         out
     }
+}
+
+/// Renders the counters `stats` visits onto the open line of `group`: a
+/// visited name `g.field` appends ` field=value` to line `g`, opening a
+/// new `g` line when the group changes; an ungrouped name stays on
+/// `group`'s line, which is left open.
+fn render(out: &mut String, group: &str, stats: &dyn Visit) {
+    let mut open = group.to_string();
+    stats.visit(&mut |name, value| {
+        let (g, field) = name.split_once('.').unwrap_or((group, name));
+        if g != open {
+            let _ = write!(out, "\n{g}");
+            open = g.to_string();
+        }
+        let _ = write!(out, " {field}={value}");
+    });
 }
 
 #[cfg(test)]
@@ -881,7 +841,7 @@ mod tests {
         runs.extend(service.deregister(a).unwrap().final_runs);
         runs.extend(service.deregister(b).unwrap().final_runs);
 
-        let mut expected = ServeStats::default();
+        let mut expected = TenantStats::default();
         for run in &runs {
             expected.absorb(run);
         }
@@ -963,6 +923,52 @@ mod tests {
         let healthy = service.ingest(id, 12, vec![stamped(12, 4, "e")]).unwrap();
         assert!(healthy.decision.is_admitted());
         assert!(service.health().contains("breaker=closed:0"));
+    }
+
+    /// A dispatch whose scripted faults outlast the retry budget is
+    /// accounted once: `/metrics` and the `serve.*` trace counters both
+    /// equal `ServeStats`, `admitted` included.
+    #[test]
+    fn exhausted_retries_leave_metrics_and_trace_equal_to_serve_stats() {
+        let trace = slider_trace::TraceSink::enabled();
+        let shared = EngineShared::builder().clock().trace(trace.clone()).build();
+        let mut service = ServiceRuntime::new(shared);
+        let id = service
+            .register(
+                Count,
+                spec("faulty")
+                    .with_breaker(BreakerConfig::default())
+                    .with_max_request_records(2)
+                    .with_dispatch_faults(DispatchFaultPlan::new().fail(1, 9)),
+            )
+            .unwrap();
+        service.ingest(id, 0, vec![stamped(0, 0, "a")]).unwrap();
+        assert!(service.ingest(id, 1, vec![stamped(5, 1, "b")]).is_err());
+        service
+            .ingest(
+                id,
+                2,
+                vec![stamped(6, 2, "c"), stamped(7, 3, "d"), stamped(8, 4, "e")],
+            )
+            .unwrap();
+        service.ingest(id, 3, vec![stamped(25, 5, "f")]).unwrap();
+
+        let stats = service.serve_stats();
+        assert_eq!((stats.admitted, stats.dispatch_failures), (3, 1));
+        assert_eq!(stats.dispatch_retries, 2);
+        let metrics = service.metrics();
+        let mut rendered = String::new();
+        render(&mut rendered, "service", &stats);
+        for line in rendered.lines() {
+            assert!(metrics.contains(line), "metrics miss {line:?}");
+        }
+        // One tenant, so its stats are the roll-up's request counters.
+        let snap = trace.snapshot().unwrap();
+        service.tenant_stats(id).unwrap().visit(&mut |name, value| {
+            assert_eq!(snap.counter(&format!("serve.{name}")), value, "{name}");
+        });
+        assert_eq!(snap.counter("serve.admitted"), stats.admitted);
+        assert_eq!(snap.counter("serve.requests"), stats.requests);
     }
 
     #[test]

@@ -14,7 +14,9 @@
 //!   the admission gate's DGIM buckets and quota ledger, the circuit
 //!   breaker's position, the dispatch sequence counter and the folded
 //!   statistics;
-//! * the service roll-up, the overload gauge, and the tenant-id counter.
+//! * the registry counters and the retired fold of deregistered tenants
+//!   (the service roll-up is derived from them plus the live tenants'
+//!   stats), the overload gauge, and the tenant-id counter.
 //!
 //! The restore invariant (proved by `tests/integration_resilience.rs`):
 //! crash at *any* ingest boundary, restore onto a fresh engine, replay
@@ -76,7 +78,7 @@ pub struct ServiceSnapshot<A: MapReduceApp> {
     pub(crate) cache: Option<DistributedCache>,
     pub(crate) namespace_watermark: u32,
     pub(crate) next_id: u64,
-    pub(crate) stats: ServeStats,
+    pub(crate) base: ServeStats,
     pub(crate) overload: Option<OverloadSnapshot>,
     pub(crate) tenants: Vec<TenantSnapshot<A>>,
 }
@@ -145,7 +147,10 @@ impl<A: MapReduceApp> ServiceSnapshot<A> {
             self.next_id,
             self.tenants.len()
         );
-        let _ = writeln!(out, "stats {:?}", self.stats);
+        let stats = self
+            .base
+            .plus_tenants(self.tenants.iter().map(|t| &t.stats));
+        let _ = writeln!(out, "stats {stats:?}");
         match &self.overload {
             Some(o) => {
                 let _ = writeln!(

@@ -2,11 +2,16 @@
 //! reconcile bit-exactly with the per-run [`RunStats`] the engine
 //! returns.
 //!
-//! Both structs fold the *deterministic* subset of [`RunStats`] — work,
-//! task and key counts, byte counters — with plain integer addition, so
+//! Every request fact is written once, into its tenant's [`TenantStats`],
+//! which folds the *deterministic* subset of [`RunStats`] — work, task and
+//! key counts, byte counters — with plain integer addition, so
 //! `sum(per-run) == folded` is an exact invariant, not an approximation.
+//! The service-wide [`ServeStats`] is derived: the registry counters plus
+//! the sum of the live tenants' stats and the retired fold of
+//! deregistered ones.
 
 use slider_mapreduce::RunStats;
+use slider_trace::Visit;
 
 use crate::admission::Decision;
 
@@ -80,41 +85,29 @@ impl TenantStats {
     /// Counts one front-door decision.
     pub(crate) fn count(&mut self, decision: &Decision, records: usize) {
         self.requests += 1;
-        match decision {
+        let records = records as u64;
+        let rejected = match decision {
             Decision::Admitted { .. } => {
                 self.admitted += 1;
-                self.records_admitted += records as u64;
+                self.records_admitted += records;
+                return;
             }
-            Decision::RateLimited { .. } => {
-                self.rate_limited += 1;
-                self.records_rejected += records as u64;
-            }
-            Decision::OverQuota { .. } => {
-                self.over_quota += 1;
-                self.records_rejected += records as u64;
-            }
-            Decision::TooLarge { .. } => {
-                self.too_large += 1;
-                self.records_rejected += records as u64;
-            }
-            Decision::BreakerOpen { .. } => {
-                self.breaker_open += 1;
-                self.records_rejected += records as u64;
-            }
-            Decision::Shed { .. } => {
-                self.shed += 1;
-                self.records_rejected += records as u64;
-            }
-            Decision::DeadlineExceeded { .. } => {
-                self.deadline_exceeded += 1;
-                self.records_rejected += records as u64;
-            }
-        }
+            Decision::RateLimited { .. } => &mut self.rate_limited,
+            Decision::OverQuota { .. } => &mut self.over_quota,
+            Decision::TooLarge { .. } => &mut self.too_large,
+            Decision::BreakerOpen { .. } => &mut self.breaker_open,
+            Decision::Shed { .. } => &mut self.shed,
+            Decision::DeadlineExceeded { .. } => &mut self.deadline_exceeded,
+        };
+        *rejected += 1;
+        self.records_rejected += records;
     }
 }
 
 /// Service-wide roll-up: the exact sum of every tenant's folded stats,
-/// including tenants that have since deregistered.
+/// including tenants that have since deregistered. Derived on demand by
+/// [`ServiceRuntime::serve_stats`](crate::ServiceRuntime::serve_stats);
+/// nothing writes it request by request.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeStats {
     /// Tenants ever registered.
@@ -156,46 +149,102 @@ pub struct ServeStats {
 }
 
 impl ServeStats {
-    /// Folds one run's metrics in (mirrors [`TenantStats::absorb`]).
-    pub fn absorb(&mut self, run: &RunStats) {
-        self.runs += 1;
-        self.work_foreground += run.work.foreground_total();
-        self.work_grand += run.work.grand_total();
-    }
-
-    /// Counts one front-door decision.
-    pub(crate) fn count(&mut self, decision: &Decision, records: usize) {
-        self.requests += 1;
-        match decision {
-            Decision::Admitted { .. } => {
-                self.admitted += 1;
-                self.records_admitted += records as u64;
-            }
-            Decision::RateLimited { .. } => {
-                self.rate_limited += 1;
-                self.records_rejected += records as u64;
-            }
-            Decision::OverQuota { .. } => {
-                self.over_quota += 1;
-                self.records_rejected += records as u64;
-            }
-            Decision::TooLarge { .. } => {
-                self.too_large += 1;
-                self.records_rejected += records as u64;
-            }
-            Decision::BreakerOpen { .. } => {
-                self.breaker_open += 1;
-                self.records_rejected += records as u64;
-            }
-            Decision::Shed { .. } => {
-                self.shed += 1;
-                self.records_rejected += records as u64;
-            }
-            Decision::DeadlineExceeded { .. } => {
-                self.deadline_exceeded += 1;
-                self.records_rejected += records as u64;
-            }
+    /// This roll-up plus every one of `tenants`' folded stats (the
+    /// registry counters are the service's own).
+    pub(crate) fn plus_tenants<'a>(
+        mut self,
+        tenants: impl IntoIterator<Item = &'a TenantStats>,
+    ) -> ServeStats {
+        for t in tenants {
+            self.requests += t.requests;
+            self.admitted += t.admitted;
+            self.rate_limited += t.rate_limited;
+            self.over_quota += t.over_quota;
+            self.too_large += t.too_large;
+            self.breaker_open += t.breaker_open;
+            self.shed += t.shed;
+            self.deadline_exceeded += t.deadline_exceeded;
+            self.dispatch_failures += t.dispatch_failures;
+            self.dispatch_retries += t.dispatch_retries;
+            self.breaker_trips += t.breaker_trips;
+            self.records_admitted += t.records_admitted;
+            self.records_rejected += t.records_rejected;
+            self.runs += t.runs;
+            self.work_foreground += t.work_foreground;
+            self.work_grand += t.work_grand;
         }
+        self
+    }
+}
+
+impl Visit for TenantStats {
+    /// Every counter; `memo_footprint_bytes` is a last-value gauge.
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        f("requests", self.requests);
+        f("admitted", self.admitted);
+        f("rate_limited", self.rate_limited);
+        f("over_quota", self.over_quota);
+        f("too_large", self.too_large);
+        f("breaker_open", self.breaker_open);
+        f("shed", self.shed);
+        f("deadline_exceeded", self.deadline_exceeded);
+        f("dispatch_failures", self.dispatch_failures);
+        f("dispatch_retries", self.dispatch_retries);
+        f("breaker_trips", self.breaker_trips);
+        f("records_admitted", self.records_admitted);
+        f("records_rejected", self.records_rejected);
+        f("runs", self.runs);
+        f("work_foreground", self.work_foreground);
+        f("work_grand", self.work_grand);
+        f("map_tasks", self.map_tasks);
+        f("map_reused", self.map_reused);
+        f("keys_reduced", self.keys_reduced);
+        f("keys_reused", self.keys_reused);
+        f("shuffle_bytes", self.shuffle_bytes);
+        f("memo_read_bytes", self.memo_read_bytes);
+    }
+}
+
+/// Names are `line.field`: the `/metrics` endpoint renders one line per
+/// group (`service`, `requests`, `dispatch`, `records`, `engine`).
+impl Visit for ServeStats {
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        f("service.tenants_registered", self.tenants_registered);
+        f("service.tenants_deregistered", self.tenants_deregistered);
+        f("requests.total", self.requests);
+        f("requests.admitted", self.admitted);
+        f("requests.rate_limited", self.rate_limited);
+        f("requests.over_quota", self.over_quota);
+        f("requests.too_large", self.too_large);
+        f("requests.breaker_open", self.breaker_open);
+        f("requests.shed", self.shed);
+        f("requests.deadline_exceeded", self.deadline_exceeded);
+        f("dispatch.failures", self.dispatch_failures);
+        f("dispatch.retries", self.dispatch_retries);
+        f("dispatch.breaker_trips", self.breaker_trips);
+        f("records.admitted", self.records_admitted);
+        f("records.rejected", self.records_rejected);
+        f("engine.runs", self.runs);
+        f("engine.work_fg", self.work_foreground);
+        f("engine.work_grand", self.work_grand);
+    }
+}
+
+/// How far one tenant's counters grew between two points (a request, a
+/// deregistration): the per-call fold the `serve.*` trace counters take,
+/// derived from the single write to [`TenantStats`].
+pub(crate) struct Growth<'a> {
+    pub(crate) now: &'a TenantStats,
+    pub(crate) before: &'a TenantStats,
+}
+
+impl Visit for Growth<'_> {
+    fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+        let mut before = Vec::new();
+        self.before.visit(&mut |_, v| before.push(v));
+        let mut before = before.into_iter();
+        self.now
+            .visit(&mut |name, v| f(name, v - before.next().unwrap_or(0)));
     }
 }
 
@@ -224,13 +273,11 @@ mod tests {
         assert_eq!(tenant.shuffle_bytes, 200);
         assert_eq!(tenant.memo_footprint_bytes, 77, "footprint is last-value");
 
-        let mut serve = ServeStats::default();
-        serve.absorb(&run);
-        serve.absorb(&run);
+        let serve = ServeStats::default().plus_tenants([&tenant, &tenant]);
         assert_eq!(
             (serve.runs, serve.work_foreground, serve.work_grand),
-            (tenant.runs, tenant.work_foreground, tenant.work_grand),
-            "the roll-up folds the identical sums"
+            (4, 64, 80),
+            "the roll-up sums the tenants' folds"
         );
     }
 
@@ -251,5 +298,94 @@ mod tests {
         assert_eq!(s.admitted, 1);
         assert_eq!(s.records_admitted, 4);
         assert_eq!(s.records_rejected, 14);
+    }
+
+    /// Every integer field is visited exactly once; the literals list every
+    /// field so a new one fails to build here. Exempt:
+    /// `TenantStats::memo_footprint_bytes` (a last-value gauge).
+    #[test]
+    fn visit_covers_every_counter_once() {
+        let tenant = TenantStats {
+            requests: 1,
+            admitted: 2,
+            rate_limited: 3,
+            over_quota: 4,
+            too_large: 5,
+            breaker_open: 6,
+            shed: 7,
+            deadline_exceeded: 8,
+            dispatch_failures: 9,
+            dispatch_retries: 10,
+            breaker_trips: 11,
+            records_admitted: 12,
+            records_rejected: 13,
+            runs: 14,
+            work_foreground: 15,
+            work_grand: 16,
+            map_tasks: 17,
+            map_reused: 18,
+            keys_reduced: 19,
+            keys_reused: 20,
+            shuffle_bytes: 21,
+            memo_read_bytes: 22,
+            memo_footprint_bytes: 1000,
+        };
+        let serve = ServeStats {
+            tenants_registered: 1,
+            tenants_deregistered: 2,
+            requests: 3,
+            admitted: 4,
+            rate_limited: 5,
+            over_quota: 6,
+            too_large: 7,
+            breaker_open: 8,
+            shed: 9,
+            deadline_exceeded: 10,
+            dispatch_failures: 11,
+            dispatch_retries: 12,
+            breaker_trips: 13,
+            records_admitted: 14,
+            records_rejected: 15,
+            runs: 16,
+            work_foreground: 17,
+            work_grand: 18,
+        };
+        let values = |stats: &dyn Visit| {
+            let mut values = Vec::new();
+            stats.visit(&mut |_, v| values.push(v));
+            values.sort_unstable();
+            values
+        };
+        assert_eq!(values(&tenant), (1..=22).collect::<Vec<u64>>());
+        assert_eq!(values(&serve), (1..=18).collect::<Vec<u64>>());
+    }
+
+    #[test]
+    fn growth_is_the_field_wise_difference() {
+        let mut before = TenantStats::default();
+        before.count(&Decision::Admitted { records: 2 }, 2);
+        let mut now = before;
+        now.count(
+            &Decision::Shed {
+                priority: 0,
+                overflow: 1,
+            },
+            3,
+        );
+        let mut grown = Vec::new();
+        Growth {
+            now: &now,
+            before: &before,
+        }
+        .visit(&mut |name, v| {
+            if v > 0 {
+                grown.push((name.to_string(), v));
+            }
+        });
+        assert_eq!(
+            grown,
+            [("requests", 1), ("shed", 1), ("records_rejected", 3)]
+                .map(|(k, v)| (k.to_string(), v))
+        );
     }
 }

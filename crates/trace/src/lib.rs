@@ -12,11 +12,14 @@
 //! 1. **Virtual clock.** Spans are timestamped in modeled work units and
 //!    simulated seconds — never wall-clock — so a trace is bit-identical
 //!    across thread counts and reruns.
-//! 2. **Exact reconciliation.** Every span is emitted at the same site
+//! 2. **One source of truth.** Every span is emitted at the same site
 //!    that accumulates the engine's own statistics, carrying identical
 //!    operands, so span totals reconcile *exactly* with `WorkBreakdown`,
 //!    `RecoveryStats` and `RepairStats` (enforced by
-//!    `tests/integration_trace.rs`).
+//!    `tests/integration_trace.rs`). Counters are never written beside
+//!    the stats: each stats type implements [`Visit`] once, and
+//!    [`Tracer::absorb`] folds a finished value into the registry at the
+//!    boundary that produced it.
 //! 3. **Zero overhead when disabled.** The [`TraceSink`] handle threaded
 //!    through the engine is an `Option` internally; the disabled sink
 //!    costs one branch per call site and never locks or allocates.
@@ -30,7 +33,6 @@
 //!     let run = t.begin(tr, SpanKind::Run, "run #0");
 //!     t.leaf(tr, SpanKind::Map, "split 0", 42);
 //!     t.end(run);
-//!     t.add("engine.map_tasks", 1);
 //! });
 //! let snap = sink.snapshot().unwrap();
 //! assert_eq!(snap.work_total("engine", SpanKind::Map, None), 42);
@@ -51,6 +53,24 @@ use std::sync::{Arc, Mutex};
 pub use export::TraceSnapshot;
 pub use json::{parse as parse_json, validate_chrome_trace, JsonValue};
 pub use span::{seconds_to_ticks, Span, SpanId, SpanKind, Tracer, TrackId, TICKS_PER_SECOND};
+
+/// A statistics type whose integer counters can be enumerated by name.
+///
+/// Each stats struct implements this exactly once; the trace counter
+/// registry ([`Tracer::absorb`]) and text endpoints such as serve's
+/// `/metrics` are renderings of the same walk, so they cannot drift from
+/// the struct. Last-value gauges, indices and `f64` seconds are not
+/// counters and are not visited.
+pub trait Visit {
+    /// Calls `f(name, value)` once per counter field, in a fixed order.
+    fn visit(&self, f: &mut dyn FnMut(&str, u64));
+}
+
+/// Visits `stats` with every name prefixed by `prefix` — how a stats type
+/// nests another's counters under its own names.
+pub fn visit_prefixed(stats: &dyn Visit, prefix: &str, f: &mut dyn FnMut(&str, u64)) {
+    stats.visit(&mut |name, value| f(&format!("{prefix}{name}"), value));
+}
 
 /// Environment variable that force-enables tracing (mirrors
 /// `SLIDER_THREADS`): set to anything except `0`, `false`, `off` or the

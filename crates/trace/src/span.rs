@@ -309,6 +309,14 @@ impl Tracer {
         *slot = slot.saturating_add(delta);
     }
 
+    /// Adds every counter `stats` visits to the counter `prefix` + name.
+    /// Called once per boundary that produces a stats value (a finished
+    /// run, a join poll, a pipeline stage), so the registry is a fold of
+    /// the stats and never a second copy written beside them.
+    pub fn absorb(&mut self, prefix: &str, stats: &dyn crate::Visit) {
+        crate::visit_prefixed(stats, prefix, &mut |name, delta| self.add(name, delta));
+    }
+
     /// Sets the named gauge to `value` (last write wins).
     pub fn gauge(&mut self, name: &str, value: f64) {
         self.gauges.insert(name.to_string(), value);
@@ -373,6 +381,23 @@ mod tests {
         assert_eq!(seconds_to_ticks(f64::NAN), 0);
         assert_eq!(seconds_to_ticks(1.5), 1_500_000_000);
         assert_eq!(seconds_to_ticks(1.0e80), 9_007_199_254_740_992);
+    }
+
+    #[test]
+    fn absorb_folds_visited_counters_under_a_prefix() {
+        struct Two(u64, u64);
+        impl crate::Visit for Two {
+            fn visit(&self, f: &mut dyn FnMut(&str, u64)) {
+                f("a", self.0);
+                f("b", self.1);
+            }
+        }
+        let mut t = Tracer::new();
+        t.absorb("x.", &Two(2, 0));
+        t.absorb("x.", &Two(3, 4));
+        assert_eq!(t.counters()["x.a"], 5);
+        assert_eq!(t.counters()["x.b"], 4);
+        assert_eq!(t.counters().len(), 2);
     }
 
     #[test]

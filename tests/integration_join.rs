@@ -324,12 +324,6 @@ fn join_trace_reconciles_with_stats_end_to_end() {
     let mut job = build(&shared, JoinConfig::new(event_config()));
     let (_, _, stats) = drive(&mut job, &left, &right);
     let snap = trace.snapshot().expect("trace enabled");
-    assert_eq!(snap.counter("join.probe_work"), stats.probe_work);
-    assert_eq!(snap.counter("join.pairs_added"), stats.pairs_added);
-    assert_eq!(snap.counter("join.pairs_removed"), stats.pairs_removed);
-    assert_eq!(snap.counter("join.steps"), stats.steps);
-    assert_eq!(snap.counter("join.probes"), stats.probes);
-    assert_eq!(snap.counter("join.advances"), stats.advances);
     assert_eq!(
         snap.work_total("join", SpanKind::Join, None),
         stats.probe_work,

@@ -409,7 +409,7 @@ fn run_overloaded(threads: usize) -> (Vec<String>, slider_serve::ServeStats, Str
             .expect("ingest");
         decisions.push(format!("t{} {}", request.tenant, outcome.decision));
     }
-    let stats = *service.serve_stats();
+    let stats = service.serve_stats();
     assert_eq!(
         stats.records_admitted + stats.records_rejected,
         records_sent,

@@ -219,7 +219,7 @@ fn run_service(
         finals,
         metrics,
         final_metrics: service.metrics(),
-        serve_stats: *service.serve_stats(),
+        serve_stats: service.serve_stats(),
     }
 }
 
@@ -346,7 +346,7 @@ fn rejections_are_deterministic() {
                     .decision,
             );
         }
-        (decisions, *service.serve_stats())
+        (decisions, service.serve_stats())
     };
     let (decisions, stats) = run();
     let (again, stats_again) = run();

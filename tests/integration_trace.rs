@@ -4,9 +4,12 @@
 //!
 //! * **Exact reconciliation** — span totals on every track equal the
 //!   engine's own statistics (`WorkBreakdown`, `RecoveryStats`,
-//!   `RepairStats`, `SimReport`, cache counters), per run, for every
-//!   execution mode and thread count. Not approximately: `u64` sums are
-//!   exact and `f64` folds replay the engine's own accumulation order.
+//!   `RepairStats`, `SimReport`), per run, for every execution mode and
+//!   thread count. Not approximately: `u64` sums are exact and `f64`
+//!   folds replay the engine's own accumulation order.
+//! * **Derived counters** — the exported counter registry is exactly the
+//!   fold of the stats the runs returned; nothing writes a counter beside
+//!   the stats.
 //! * **Zero observable overhead** — enabling tracing leaves job outputs
 //!   and `RunStats` bit-identical to an untraced run.
 //! * **Determinism** — the three profile exports are byte-identical for
@@ -16,12 +19,14 @@
 use std::collections::BTreeMap;
 
 use slider_apps::Hct;
-use slider_dcache::{CacheConfig, DistributedCache, NodeId, ObjectId};
+use slider_dcache::CacheConfig;
 use slider_mapreduce::{
     make_splits, ExecMode, JobConfig, JobFaultPlan, RunStats, SimulationConfig, TraceSink,
     WindowedJob,
 };
-use slider_trace::{validate_chrome_trace, SpanKind, TraceSnapshot};
+use slider_trace::{
+    parse_json, validate_chrome_trace, visit_prefixed, JsonValue, SpanKind, TraceSnapshot, Visit,
+};
 use slider_workloads::text::{generate_documents, TextConfig};
 
 fn records(count: usize) -> Vec<String> {
@@ -240,6 +245,12 @@ fn recovery_and_repair_tracks_reconcile_under_faults() {
             s.run
         );
     }
+    // The `dcache.*`, `recovery.*` and `cluster.*` counters of a faulted,
+    // cached job are the fold of its runs' stats too.
+    let runs: Vec<(&str, &dyn Visit)> = stats.iter().map(|s| ("", s as &dyn Visit)).collect();
+    let counters = exported_counters(&snap);
+    assert!(counters.contains_key("dcache.repair.copies_restored"));
+    assert_eq!(counters, fold_counters(&runs));
 }
 
 #[test]
@@ -284,59 +295,53 @@ fn exports_are_byte_identical_across_thread_counts() {
     }
 }
 
+/// The counter registry of `snap`'s `metrics_json` export, without the
+/// runtime's batch counters (the one fact no stats type holds).
+fn exported_counters(snap: &TraceSnapshot) -> BTreeMap<String, u64> {
+    let doc = parse_json(&snap.metrics_json()).expect("metrics JSON parses");
+    let Some(JsonValue::Obj(counters)) = doc.get("counters") else {
+        panic!("metrics JSON has a counters object");
+    };
+    counters
+        .iter()
+        .filter(|(name, _)| !name.starts_with("runtime."))
+        .map(|(name, v)| (name.clone(), v.as_f64().expect("numeric counter") as u64))
+        .collect()
+}
+
+/// The fold of every visited stats value under its prefix, skipping the
+/// zero counters a registry never materializes.
+fn fold_counters(stats: &[(&str, &dyn Visit)]) -> BTreeMap<String, u64> {
+    let mut fold = BTreeMap::new();
+    for (prefix, s) in stats {
+        visit_prefixed(*s, prefix, &mut |name, v| {
+            if v > 0 {
+                *fold.entry(name.to_string()).or_insert(0) += v;
+            }
+        });
+    }
+    fold
+}
+
+/// The exported counters are derived from the stats: across every mode
+/// and thread count, `metrics_json` holds exactly the fold of the
+/// `RunStats` values the runs returned — no counter written elsewhere.
 #[test]
-fn dcache_counters_reconcile_with_cache_stats() {
-    let sink = TraceSink::enabled();
-    let mut cache = DistributedCache::new(CacheConfig::paper_defaults(4).with_repair());
-    cache.attach_trace(sink.clone());
-
-    for p in 0..6u64 {
-        cache.put(ObjectId(p), 4096 + p * 512, NodeId((p % 4) as usize), 0);
+fn exported_counters_are_the_fold_of_run_stats() {
+    for mode in all_modes() {
+        for threads in [1usize, 2, 4] {
+            let sink = TraceSink::enabled();
+            let (stats, _job) = drive(mode, threads, sink.clone());
+            let snap = sink.snapshot().expect("sink is enabled");
+            let runs: Vec<(&str, &dyn Visit)> =
+                stats.iter().map(|s| ("", s as &dyn Visit)).collect();
+            assert_eq!(
+                exported_counters(&snap),
+                fold_counters(&runs),
+                "mode={mode} threads={threads}"
+            );
+        }
     }
-    for p in 0..6u64 {
-        let _ = cache.read(ObjectId(p), NodeId(((p + 1) % 4) as usize));
-    }
-    let _ = cache.read(ObjectId(99), NodeId(0)); // not found
-    cache.fail_node(NodeId(1));
-    for p in 0..6u64 {
-        let _ = cache.read(ObjectId(p), NodeId(2));
-    }
-    cache.corrupt_object(ObjectId(3), NodeId(0));
-    cache.drain_repairs();
-    cache.scrub();
-    cache.recover_node(NodeId(1));
-    cache.collect_garbage(5);
-
-    let stats = cache.stats();
-    let repair = cache.repair_stats();
-    let snap = sink.snapshot().expect("sink is enabled");
-    let checks: Vec<(&str, u64)> = vec![
-        ("dcache.memory_hits", stats.memory_hits),
-        ("dcache.disk_reads", stats.disk_reads),
-        ("dcache.not_found_reads", stats.not_found_reads),
-        ("dcache.unavailable_reads", stats.unavailable_reads),
-        ("dcache.bytes_read", stats.bytes_read),
-        ("dcache.collected", stats.collected),
-        ("dcache.repair.enqueued", repair.enqueued),
-        ("dcache.repair.repaired_objects", repair.repaired_objects),
-        ("dcache.repair.copies_restored", repair.copies_restored),
-        ("dcache.repair.bytes", repair.repair_bytes),
-        ("dcache.scrub.passes", repair.scrub_passes),
-        ("dcache.scrub.copies", repair.scrubbed_copies),
-        ("dcache.scrub.bytes", repair.scrub_bytes),
-        ("dcache.corruptions_detected", repair.corruptions_detected),
-        ("dcache.stale_copies_purged", repair.stale_copies_purged),
-        ("dcache.node_failures", 1),
-        ("dcache.node_recoveries", 1),
-    ];
-    for (counter, expected) in checks {
-        assert_eq!(
-            snap.counter(counter),
-            expected,
-            "counter {counter} must equal the cache's own stat"
-        );
-    }
-    assert!(stats.memory_hits + stats.disk_reads > 0, "reads happened");
 }
 
 #[test]
@@ -403,7 +408,16 @@ fn pipeline_and_query_tracks_reconcile() {
             "query per-job work"
         );
     }
-    assert_eq!(snap.counter("query.runs"), runs.len() as u64);
+    let mut folded: Vec<(&str, &dyn Visit)> = Vec::new();
+    for r in &runs {
+        folded.push(("", &r.first));
+        folded.extend(r.inner.iter().map(|s| ("pipeline.", s as &dyn Visit)));
+    }
+    assert_eq!(
+        exported_counters(&snap),
+        fold_counters(&folded),
+        "pipeline counters are the fold of the first job's and the inner stages' stats"
+    );
 
     // A second compile of the same query against the same sink would share
     // the tracer; outputs stay plain data either way.
